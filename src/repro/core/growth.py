@@ -159,6 +159,11 @@ def _extend_in_kernel(
     are still :class:`Embedding` instances) and accumulated in a per-graph
     ``key -> rows`` dict that is folded into the shared output once at
     the end — one dict probe per row instead of two ``setdefault`` hops.
+
+    Each distinct node tuple is walked once, from its smallest cut: a
+    child row depends only on the node tuple and the data edge, and the
+    residual edges after the smallest cut include those after every
+    larger one, so the larger cuts would only re-add rows already there.
     """
     out_indptr = kernel.out_indptr
     out_indices = kernel.out_indices
@@ -170,9 +175,13 @@ def _extend_in_kernel(
     row = tuple.__new__
     local: dict[ExtensionKey, set[Embedding]] = {}
     local_get = local.get
-    for emb in emb_set:
-        nodes = emb[0]
-        cut = emb[1]
+    smallest_cut: dict[tuple[int, ...], int] = {}
+    seen_cut = smallest_cut.get
+    for nodes, cut in emb_set:
+        seen = seen_cut(nodes)
+        if seen is None or cut < seen:
+            smallest_cut[nodes] = cut
+    for nodes, cut in smallest_cut.items():
         node_to_pattern = {dn: pi for pi, dn in enumerate(nodes)}
         mapped = node_to_pattern.get
         for pi, dn in enumerate(nodes):

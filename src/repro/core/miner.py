@@ -39,6 +39,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from heapq import heappop, heappush
+from itertools import count
+from operator import attrgetter
 from typing import Sequence
 
 from repro.core.errors import MiningError
@@ -223,9 +226,13 @@ def split_seed_table(
     return pos, neg
 
 
-@dataclass
+@dataclass(slots=True)
 class _HistoryEntry:
-    """A fully-explored pattern retained for pruning lookups."""
+    """A fully-explored pattern retained for pruning lookups.
+
+    ``seq`` is the entry's discovery order within the run; entries order
+    by ``branch_upper_bound`` so a pending heap can hold them directly.
+    """
 
     pattern: TemporalPattern
     num_nodes: int
@@ -233,6 +240,51 @@ class _HistoryEntry:
     pos_residuals: ResidualSummary
     neg_residuals: ResidualSummary
     branch_upper_bound: float
+    seq: int
+
+    def __lt__(self, other: "_HistoryEntry") -> bool:
+        return self.branch_upper_bound < other.branch_upper_bound
+
+
+_by_seq = attrgetter("seq")
+
+
+class _HistoryBucket:
+    """One history-index bucket, split by pruning eligibility.
+
+    Both prunings may only use an entry whose branch bound lies below the
+    incumbent ``best_score`` — a ``>=`` test, which a NaN bound never
+    fails.  A stored bound never changes and ``best_score`` never falls
+    within a run, so an eligible entry stays eligible.  ``ready`` holds
+    the eligible entries in discovery order; ``pending`` is a min-heap of
+    the rest, promoted into ``ready`` once the incumbent passes them.
+    :meth:`eligible` therefore yields exactly the entries a full scan
+    that skips ineligible ones would reach, in the same order.
+    """
+
+    __slots__ = ("ready", "pending")
+
+    def __init__(self) -> None:
+        self.ready: list[_HistoryEntry] = []
+        self.pending: list[_HistoryEntry] = []
+
+    def add(self, entry: _HistoryEntry, best_score: float) -> None:
+        """Store ``entry``, the newest of the run so far."""
+        if entry.branch_upper_bound >= best_score:
+            heappush(self.pending, entry)
+        else:
+            self.ready.append(entry)
+
+    def eligible(self, best_score: float) -> list[_HistoryEntry]:
+        """Entries with ``branch_upper_bound < best_score`` (or NaN), oldest first."""
+        pending = self.pending
+        if pending and pending[0].branch_upper_bound < best_score:
+            ready = self.ready
+            while pending and pending[0].branch_upper_bound < best_score:
+                ready.append(heappop(pending))
+            # `ready` is one sorted run; Timsort merges the promoted tail in
+            ready.sort(key=_by_seq)
+        return self.ready
 
 
 class TGMiner:
@@ -296,8 +348,9 @@ class _MiningRun:
         self.tester = self._make_tester()
         self.keep_cut_pairs = config.residual_equivalence == "linear"
         # History indexes; key structure depends on the equivalence mode.
-        self.sub_index: dict[object, list[_HistoryEntry]] = {}
-        self.super_index: dict[object, list[_HistoryEntry]] = {}
+        self.sub_index: dict[object, _HistoryBucket] = {}
+        self.super_index: dict[object, _HistoryBucket] = {}
+        self.history_seq = count()
         self.deadline = (
             time.perf_counter() + config.max_seconds
             if config.max_seconds is not None
@@ -328,6 +381,7 @@ class _MiningRun:
         self.best_by_size = {}
         self.sub_index = {}
         self.super_index = {}
+        self.history_seq = count()
         self.deadline = (
             time.perf_counter() + self.config.max_seconds
             if self.config.max_seconds is not None
@@ -440,12 +494,10 @@ class _MiningRun:
         neg_ext = extend_embeddings(self.negatives, neg_embs, self.neg_kernels)
         min_count = self.config.min_pos_support * self.n_pos
         branch_ub = NEG_INF
-        for key in sort_extension_keys(pos_ext):
-            child_pos = pos_ext[key]
-            if len(child_pos) < min_count:
-                continue
+        supported = [key for key, table in pos_ext.items() if len(table) >= min_count]
+        for key in sort_extension_keys(supported):
             child = child_pattern(pattern, key)
-            child_ub = self._dfs(child, child_pos, neg_ext.get(key, {}))
+            child_ub = self._dfs(child, pos_ext[key], neg_ext.get(key, {}))
             branch_ub = max(branch_ub, child_ub)
             if self._out_of_time():
                 break
@@ -458,11 +510,13 @@ class _MiningRun:
         self, pattern: TemporalPattern, pos_res: ResidualSummary
     ) -> float | None:
         """Lemma 4: return the pruned branch's score bound, or ``None``."""
-        key = self._sub_key(pos_res)
-        for entry in self.sub_index.get(key, ()):  # discovered before `pattern`
-            if entry.branch_upper_bound >= self.best_score:
-                continue
-            if entry.num_edges < pattern.num_edges:
+        bucket = self.sub_index.get(self._sub_key(pos_res))
+        if bucket is None:
+            return None
+        num_edges = pattern.num_edges
+        # entries were discovered before `pattern`
+        for entry in bucket.eligible(self.best_score):
+            if entry.num_edges < num_edges:
                 continue
             if not self._residuals_equal(pos_res, entry.pos_residuals):
                 continue
@@ -493,11 +547,14 @@ class _MiningRun:
         neg_res: ResidualSummary,
     ) -> float | None:
         """Proposition 2: return the pruned branch's score bound, or ``None``."""
-        key = self._super_key(pos_res, neg_res, pattern.num_nodes)
-        for entry in self.super_index.get(key, ()):
-            if entry.branch_upper_bound >= self.best_score:
-                continue
-            if entry.num_edges > pattern.num_edges:
+        bucket = self.super_index.get(
+            self._super_key(pos_res, neg_res, pattern.num_nodes)
+        )
+        if bucket is None:
+            return None
+        num_edges = pattern.num_edges
+        for entry in bucket.eligible(self.best_score):
+            if entry.num_edges > num_edges:
                 continue
             if not self._residuals_equal(pos_res, entry.pos_residuals):
                 continue
@@ -541,12 +598,21 @@ class _MiningRun:
             pos_residuals=pos_res,
             neg_residuals=neg_res,
             branch_upper_bound=branch_ub,
+            seq=next(self.history_seq),
         )
         if self.config.subgraph_pruning:
-            self.sub_index.setdefault(self._sub_key(pos_res), []).append(entry)
+            self._file(self.sub_index, self._sub_key(pos_res), entry)
         if self.config.supergraph_pruning:
             key = self._super_key(pos_res, neg_res, pattern.num_nodes)
-            self.super_index.setdefault(key, []).append(entry)
+            self._file(self.super_index, key, entry)
+
+    def _file(
+        self, index: dict[object, _HistoryBucket], key: object, entry: _HistoryEntry
+    ) -> None:
+        bucket = index.get(key)
+        if bucket is None:
+            bucket = index[key] = _HistoryBucket()
+        bucket.add(entry, self.best_score)
 
     # ------------------------------------------------------------------
     def _record(

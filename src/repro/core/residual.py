@@ -81,7 +81,8 @@ def summarize_residuals(
         the kernels' precomputed suffix sets; ``i_value`` and
         ``cut_pairs`` are identical either way.
     """
-    distinct = sorted(set(cut_points))
+    # sums and unions ignore order; only the cut-pair tuple needs sorting
+    distinct = set(cut_points)
     i_value = 0
     labels: set = set()
     if kernels is not None:
@@ -98,7 +99,7 @@ def summarize_residuals(
                 labels |= graph.suffix_label_set(cut + 1)
     return ResidualSummary(
         i_value=i_value,
-        cut_pairs=tuple(distinct) if keep_cut_pairs else None,
+        cut_pairs=tuple(sorted(distinct)) if keep_cut_pairs else None,
         label_set=frozenset(labels) if with_labels else frozenset(),
     )
 

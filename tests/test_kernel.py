@@ -12,6 +12,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import GraphError
 from repro.core.graph import TemporalGraph
@@ -22,7 +23,7 @@ from repro.core.graph_index import (
     pattern_signature,
     signature_contains,
 )
-from repro.core.growth import cut_points, extend_embeddings, seed_patterns
+from repro.core.growth import Embedding, cut_points, extend_embeddings, seed_patterns
 from repro.core.kernel import GraphKernel, LabelInterner, build_kernels
 from repro.core.residual import summarize_residuals
 from repro.core.sequence import encode
@@ -206,6 +207,52 @@ class TestExtendEmbeddingsEquivalence:
                     # tuple.__new__) — named access keeps working
                     assert row.nodes == row[0]
                     assert row.last_index == row[1]
+
+
+@st.composite
+def tables_with_repeated_tuples(draw):
+    """A small corpus plus an embedding table whose node tuples recur at
+    several cuts — the shape consecutive growth produces on multi-edges."""
+    corpus = [
+        random_temporal_graph(
+            random.Random(draw(st.integers(0, 10**6))),
+            n_nodes=draw(st.integers(2, 5)),
+            n_edges=draw(st.integers(1, 14)),
+            alphabet="AB",
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    table = {}
+    for gid, graph in enumerate(corpus):
+        rows = set()
+        for _ in range(draw(st.integers(0, 4))):
+            nodes = tuple(
+                draw(
+                    st.lists(
+                        st.integers(0, graph.num_nodes - 1),
+                        min_size=2,
+                        max_size=min(4, graph.num_nodes),
+                        unique=True,
+                    )
+                )
+            )
+            cuts = draw(
+                st.sets(st.integers(0, graph.num_edges - 1), min_size=1, max_size=4)
+            )
+            rows.update(Embedding(nodes, cut) for cut in cuts)
+        if rows:
+            table[gid] = rows
+    return corpus, table
+
+
+class TestExtendDeduplicatesNodeTuples:
+    @given(tables_with_repeated_tuples())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_tables_equal_one_scan_per_embedding(self, case):
+        corpus, table = case
+        kernels = build_kernels(corpus, LabelInterner())
+        legacy = extend_embeddings(corpus, table, use_kernel=False)
+        assert extend_embeddings(corpus, table, kernels) == legacy
 
 
 # ----------------------------------------------------------------------
